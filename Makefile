@@ -60,8 +60,10 @@ alloc-gate:
 	./scripts/checkallocs.sh
 
 # Kernel-regression gate: the batched verification kernel's ns/event
-# must hold the committed BENCH_pr8.json baseline within KERNEL_TOL
-# percent (default 15).
+# must stay within KERNEL_TOL percent (default 15) of the same
+# benchmark built from the control commit (merge-base with main, or
+# HEAD~1 on main) and run interleaved on the same host, best of
+# KERNEL_COUNT (default 6) on each side.
 kernel-gate:
 	./scripts/checkkernel.sh
 

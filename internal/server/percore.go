@@ -248,7 +248,6 @@ func (v *verifier) send(op writeOp) {
 func (v *verifier) sendFrame(ss *session, f wire.Frame) {
 	fb := v.srv.bufPool.Get().(*frameBuf)
 	fb.b = wire.MustAppend(fb.b[:0], f)
-	fb.t0 = time.Time{} // pooled; a stale sample stamp would skew spans
 	fb.sp = nil
 	v.send(writeOp{s: ss, fb: fb})
 }
@@ -292,9 +291,9 @@ type coreWriter struct {
 	pk   *ring.Parker
 
 	// spans is the core's committed trace-record ring (/debug/trace).
-	// The writer is its only committer: a traced batch's record is
-	// finished and stored only once its ack bytes hit the socket. nil
-	// when tracing is disabled.
+	// The writer is its only committer: a client-stamped batch's record
+	// is finished and stored only once its ack bytes hit the socket.
+	// nil when tracing is disabled.
 	spans *spanRing
 }
 
@@ -311,19 +310,13 @@ func (w *coreWriter) flush(ss *session) {
 		ss.conn.SetWriteDeadline(time.Now().Add(w.srv.cfg.WriteTimeout))
 		if _, err := ss.conn.Write(ss.wbuf); err != nil {
 			ss.wfailed = true
-		} else {
-			if !ss.wspan.IsZero() {
-				w.srv.met.writeWaitNs.Observe(uint64(time.Since(ss.wspan).Nanoseconds()))
-				w.srv.met.writeWaitSampled.Inc()
+		} else if len(ss.wspans) > 0 {
+			// One clock read stamps every sampled batch this flush acked.
+			now := nowNs()
+			for _, sp := range ss.wspans {
+				w.srv.spanCommit(w, sp, now)
 			}
-			if len(ss.wspans) > 0 {
-				// One clock read stamps every traced batch this flush acked.
-				now := nowNs()
-				for _, sp := range ss.wspans {
-					w.srv.spanCommit(w, sp, now)
-				}
-				ss.wspans = ss.wspans[:0]
-			}
+			ss.wspans = ss.wspans[:0]
 		}
 	}
 	if ss.wfailed {
@@ -332,7 +325,6 @@ func (w *coreWriter) flush(ss *session) {
 		}
 		ss.wspans = ss.wspans[:0]
 	}
-	ss.wspan = time.Time{}
 	ss.wbuf = ss.wbuf[:0]
 }
 
@@ -373,9 +365,6 @@ func (w *coreWriter) loop() {
 			ss := op.s
 			if op.fb != nil {
 				if !ss.wfailed {
-					if ss.wspan.IsZero() {
-						ss.wspan = op.fb.t0
-					}
 					ss.wbuf = append(ss.wbuf, op.fb.b...)
 					if op.fb.sp != nil {
 						// Detach the span record from the pooled buffer: it

@@ -112,9 +112,11 @@ type Config struct {
 
 	// TraceRing is the per-core capacity of the committed span-record
 	// ring behind /debug/trace (default 256; negative disables trace
-	// expansion entirely). Records are only ever created for batches a
-	// client stamped with the wire trace extension — unstamped traffic
-	// pays one branch and allocates nothing, whatever this is set to.
+	// expansion entirely). Only batches a client stamped with the wire
+	// trace extension are committed to the ring; the daemon also times
+	// every 64th batch of each session with a pooled record that feeds
+	// the wait histograms and goes straight back to its pool, whatever
+	// this is set to.
 	TraceRing int
 
 	// Reg receives server_* metrics; nil disables (free).
@@ -177,12 +179,8 @@ type task struct {
 	b    *wire.Batch
 	fb   *frameBuf
 	done bool
-	// t0 is non-zero on sampled batches (1 in spanSampleEvery per
-	// session): the reader's publish time, observed by the verifier as
-	// server_queue_wait_ns — the reader→verifier leg of the sampled
-	// pipeline span.
-	t0 time.Time
-	// sp is non-nil on client-trace-stamped batches: the pooled span
+	// sp is non-nil on sampled batches (client-stamped, or the
+	// daemon's 1 in spanSampleEvery per session): the pooled span
 	// record the stages fill in as the batch moves through them (see
 	// trace.go). Ownership rides the ring with the batch; the core
 	// writer commits and releases it at ack-flush time.
@@ -200,11 +198,7 @@ type task struct {
 // is still queued, or a reuse would corrupt bytes in flight.
 type frameBuf struct {
 	b []byte
-	// t0 is non-zero when this buffer continues a sampled batch's span:
-	// the verifier's queue time, observed by the writer (once the bytes
-	// are on the wire) as server_write_wait_ns — the verifier→writer leg.
-	t0 time.Time
-	// sp continues a trace-stamped batch's span record into the writer:
+	// sp continues a sampled batch's span record into the writer:
 	// non-nil only when the buffer carries such a batch's alarms+ack.
 	// The writer detaches it on append (into session.wspans) and the
 	// flush that puts the bytes on the wire commits it.
@@ -227,8 +221,8 @@ type Server struct {
 	batchPool sync.Pool
 	bufPool   sync.Pool
 
-	// spanPool recycles trace span records (trace.go); leased by the
-	// reader for stamped batches only, released by the core writer.
+	// spanPool recycles span records (trace.go); leased by the reader
+	// for sampled batches only, released by the core writer.
 	spanPool sync.Pool
 
 	// incidents is the off-path analytics stage (nil when disabled):
@@ -392,7 +386,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // register adds a session under a fresh id, refusing during drain. The
 // session's ring and verifier pin are established here, before any
-// frame can flow.
+// frame can flow, and its reader is counted here, under the lock that
+// checks draining: a Shutdown that lets a session in always waits for
+// its reader, however late the handshake goroutine gets to start it.
 func (s *Server) register(ss *session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,6 +401,7 @@ func (s *Server) register(ss *session) bool {
 	ss.core = ss.v.id
 	ss.ring = ring.New[task](s.cfg.RingSize)
 	s.sessions[ss.id] = ss
+	s.readerWG.Add(1)
 	s.met.sessionsTotal.Inc()
 	s.met.sessionsActive.Set(int64(len(s.sessions)))
 	return true
@@ -490,13 +487,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		// The session was never adopted by its verifier; unwind by hand.
 		conn.Close()
 		s.unregister(ss)
+		s.readerWG.Done()
 		return
 	}
 
 	// Adopt before the reader starts so the first published task always
 	// finds the verifier scanning (or parkable-and-wakeable).
 	ss.v.adopt(ss)
-	s.readerWG.Add(1)
 	go ss.readLoop()
 }
 
@@ -508,10 +505,6 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	n := len(t.b.Events)
 	start := time.Now()
-	if !t.t0.IsZero() {
-		s.met.queueWaitNs.Observe(uint64(start.Sub(t.t0).Nanoseconds()))
-		s.met.queueWaitSampled.Inc()
-	}
 	if t.sp != nil {
 		t.sp.DequeueNs = start.UnixNano()
 	}
@@ -529,7 +522,6 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	// batch, however many alarms it raised.
 	fb := s.bufPool.Get().(*frameBuf)
 	fb.b = fb.b[:0]
-	fb.t0 = time.Time{}
 	fb.sp = nil
 	for i := range alarms {
 		s.met.alarmsTotal.Inc()
@@ -606,9 +598,6 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	ss.updateRate(start.UnixNano(), total)
 	done := ss.events.Add(uint64(n))
 	fb.b = wire.AppendAck(fb.b, wire.Ack{Events: done})
-	if !t.t0.IsZero() {
-		fb.t0 = time.Now()
-	}
 	if t.sp != nil {
 		// Incident offer + forensics emission + ack encode are done; the
 		// record rides the frame buffer to the core writer, which stamps

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/server"
+	"repro/internal/tables"
 	"repro/internal/tcache"
 	"repro/internal/wire"
 )
@@ -541,6 +542,80 @@ func TestResolveFromBlobCache(t *testing.T) {
 	}
 	if _, ok := st2.Resolve([32]byte{1, 2, 3}); ok {
 		t.Fatal("resolved a hash that was never added")
+	}
+}
+
+// TestResolveRefusesCraftedBlob pins the cache tier's distrust of
+// content: a blob whose BAT list cycles, stored under its own hash (so
+// the address check passes), must resolve as a miss rather than hang
+// or panic the daemon, and a client asking for it is refused while the
+// daemon keeps serving valid images.
+func TestResolveRefusesCraftedBlob(t *testing.T) {
+	art, err := pipeline.Compile(guardSrc, ir.DefaultOptions)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	crafted, err := tables.Unmarshal(art.Image.Marshal())
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	cycled := false
+	for _, fi := range crafted.Funcs {
+		if len(fi.Entries) > 0 {
+			fi.Entries[0].Next = 0 // entry 0 ends a list; now it loops
+			cycled = true
+			break
+		}
+	}
+	if !cycled {
+		t.Fatal("guard image has no BAT entries to corrupt")
+	}
+	blob := crafted.Marshal()
+	cache, err := tcache.New(16, t.TempDir())
+	if err != nil {
+		t.Fatalf("tcache: %v", err)
+	}
+	bad := tcache.KeyOf(blob)
+	cache.Put(bad, blob)
+
+	store := server.NewImageStore(cache)
+	resolved := make(chan bool, 1)
+	go func() { _, ok := store.Resolve(bad); resolved <- ok }()
+	select {
+	case ok := <-resolved:
+		if ok {
+			t.Fatal("crafted blob resolved as an image")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Resolve did not return within 2s")
+	}
+
+	good := store.Add("guard", art.Image)
+	srv := server.New(store, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	if c, err := ipdsclient.Dial(ipdsclient.Config{Addr: ln.Addr().String(), Image: bad, Program: "crafted"}); err == nil {
+		c.Close()
+		t.Fatal("daemon accepted a session for the crafted image")
+	}
+	c, err := ipdsclient.Dial(ipdsclient.Config{Addr: ln.Addr().String(), Image: good, Program: "guard"})
+	if err != nil {
+		t.Fatalf("daemon stopped serving after the crafted request: %v", err)
+	}
+	defer c.Close()
+	if err := c.Send(ipdsclient.Capture(art, nil)...); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //     only producer
 //   - m (the machine) and the rate-window fields: the pinned per-core
 //     verifier, exclusively — the ring's only consumer
-//   - wbuf/wdirty/wfailed/wspan and conn writes: the core writer
+//   - wbuf/wdirty/wfailed/wspans and conn writes: the core writer
 //     goroutine, exclusively
 //   - the remaining counters are atomics, written by their owner and
 //     read by the debug endpoint
@@ -44,8 +44,9 @@ type session struct {
 	started   time.Time
 	stopSpan  func()
 
-	// sampleCnt is reader-owned: it picks every spanSampleEvery-th
-	// batch to carry pipeline-span timestamps.
+	// sampleCnt is reader-owned: the session's batch count, which picks
+	// every spanSampleEvery-th batch (the first included) to carry a
+	// span record.
 	sampleCnt uint64
 
 	// events counts fully verified events (ack currency):
@@ -85,9 +86,8 @@ type session struct {
 	wbuf    []byte
 	wdirty  bool
 	wfailed bool
-	wspan   time.Time // first sampled frame's queue time in this cycle
 
-	// wspans holds the trace records of this cycle's coalesced traced
+	// wspans holds the span records of this cycle's coalesced sampled
 	// batches: detached from their frame buffers at append time,
 	// committed (ack stamp) when the cycle's single write lands.
 	wspans []*SpanRec
@@ -143,7 +143,6 @@ func (s *session) publish(staged []task) {
 func (s *session) stageCtrl(staged []task, f wire.Frame) []task {
 	fb := s.srv.bufPool.Get().(*frameBuf)
 	fb.b = wire.MustAppend(fb.b[:0], f)
-	fb.t0 = time.Time{} // pooled; a stale sample stamp would skew spans
 	fb.sp = nil
 	return append(staged, task{fb: fb})
 }
@@ -253,27 +252,25 @@ func (s *session) readLoop() {
 				staged = s.stageCtrl(staged, wire.Error{Code: wire.ErrProtocol, Msg: "batch exceeds advertised maximum"})
 				goto out
 			}
-			// Every spanSampleEvery-th batch carries timestamps through
-			// the pipeline, feeding the sampled reader→verifier→writer
-			// span histograms at negligible steady-state cost.
-			var t0 time.Time
-			if s.sampleCnt%spanSampleEvery == 0 {
-				t0 = time.Now()
-			}
-			s.sampleCnt++
-			// A client-stamped trace context expands into a full span
-			// record; the untraced steady state pays this one predictable
+			// A client-stamped batch, and every spanSampleEvery-th batch
+			// of the session, expands into a span record: every record
+			// feeds the wait histograms, only stamped ones reach the
+			// trace ring. The other batches pay this one predictable
 			// branch and nothing else.
+			traced := fr.TraceID != 0 && srv.cfg.TraceRing > 0
 			var sp *SpanRec
-			if fr.TraceID != 0 && srv.cfg.TraceRing > 0 {
+			if traced || s.sampleCnt%spanSampleEvery == 0 {
 				sp = srv.spanGet()
-				sp.TraceID = fr.TraceID
-				sp.OriginNs = int64(fr.OriginNs)
+				if traced {
+					sp.TraceID = fr.TraceID
+					sp.OriginNs = int64(fr.OriginNs)
+				}
 				sp.Session = s.id
 				sp.Core = s.core
 				sp.ReadNs = nowNs()
 			}
-			staged = append(staged, task{b: fr, t0: t0, sp: sp})
+			s.sampleCnt++
+			staged = append(staged, task{b: fr, sp: sp})
 			// Publish when the socket buffer is dry — the next NextInto
 			// would block — or the stage is full. (A frame split across
 			// TCP segments can briefly block with tasks staged; its tail
@@ -304,8 +301,8 @@ out:
 // small enough to keep write latency and memory per session bounded.
 const maxWriteCoalesce = 256 << 10
 
-// spanSampleEvery picks which batches carry pipeline-span timestamps
-// (reader publish → verifier pop → writer flush). 1-in-64 keeps the
-// histograms live on any sustained stream while the extra time.Now()
-// calls stay invisible next to the verify kernel itself.
+// spanSampleEvery picks which unstamped batches carry a span record
+// (reader → verifier pop → writer flush) for the wait histograms.
+// 1-in-64 keeps them live on any sustained stream while the extra
+// clock reads stay invisible next to the verify kernel itself.
 const spanSampleEvery = 64

@@ -17,12 +17,19 @@ import (
 // exports the rings as Chrome trace-event JSON (chrome://tracing,
 // Perfetto), one track per verifier core.
 //
-// Cost model: an untraced batch pays exactly one predictable branch
-// (TraceID == 0) on the reader — the PR 4/7/9 zero-alloc serve path,
-// alloc-gate enforced. A traced batch borrows its record from a pool,
-// stamps five timestamps as it moves through the stages it already
-// moves through, and is committed by the core writer under a mutex no
-// unsampled batch ever touches.
+// The same record is the daemon's only stage timer: the reader also
+// leases one for every spanSampleEvery-th batch of a session, and every
+// record the writer finishes feeds server_queue_wait_ns (ReadNs →
+// DequeueNs) and server_write_wait_ns (OfferEndNs → AckNs). Only
+// client-stamped records (TraceID ≠ 0) feed server_e2e_ns and the
+// ring; daemon-sampled ones go straight back to the pool.
+//
+// Cost model: an unsampled batch pays exactly one predictable branch
+// on the reader — the zero-alloc serve path, alloc-gate enforced. A
+// sampled batch borrows its record from a pool, stamps five timestamps
+// as it moves through the stages it already moves through, and only a
+// client-stamped one is committed by the core writer under a mutex no
+// other batch ever touches.
 
 // SpanRec is one traced batch's per-stage latency record. All *Ns
 // fields except OriginNs are the daemon's clock (unix nanoseconds)
@@ -149,8 +156,8 @@ type chromeTraceEvent struct {
 // traceStages turns one record into its Chrome stage events. Stages
 // are emitted only when their interval is well-formed, so a record
 // from a skewed client still renders its daemon-side stages.
-func traceStages(r SpanRec, t0 int64) []chromeTraceEvent {
-	us := func(ns int64) float64 { return float64(ns-t0) / 1e3 }
+func traceStages(r SpanRec, epoch int64) []chromeTraceEvent {
+	us := func(ns int64) float64 { return float64(ns-epoch) / 1e3 }
 	args := map[string]any{
 		"trace_id": r.TraceID,
 		"session":  r.Session,
@@ -186,19 +193,19 @@ func traceStages(r SpanRec, t0 int64) []chromeTraceEvent {
 // record so the trace starts at t=0.
 func (s *Server) WriteChromeTrace(w http.ResponseWriter) {
 	recs := s.TraceSpans()
-	var t0 int64
+	var epoch int64
 	for _, r := range recs {
 		base := r.ReadNs
 		if r.OriginNs > 0 && r.OriginNs < base {
 			base = r.OriginNs
 		}
-		if t0 == 0 || base < t0 {
-			t0 = base
+		if epoch == 0 || base < epoch {
+			epoch = base
 		}
 	}
 	evs := []chromeTraceEvent{}
 	for _, r := range recs {
-		evs = append(evs, traceStages(r, t0)...)
+		evs = append(evs, traceStages(r, epoch)...)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(evs)
@@ -231,16 +238,25 @@ func (s *Server) spanGet() *SpanRec {
 }
 
 // spanCommit finishes a record at ack-flush time: stamps AckNs, feeds
-// the e2e histogram, commits the value into the core's ring and
-// returns the lease to the pool. Runs on the core writer.
+// the wait histograms and, for a client-stamped record, the e2e
+// histogram and the core's ring, then returns the lease to the pool.
+// Runs on the core writer.
 func (s *Server) spanCommit(w *coreWriter, sp *SpanRec, ackNs int64) {
 	sp.AckNs = ackNs
-	if e2e := sp.E2ENs(); e2e > 0 {
-		s.met.e2eNs.Observe(uint64(e2e))
+	s.met.queueWaitNs.Observe(nonNeg(sp.DequeueNs - sp.ReadNs))
+	s.met.writeWaitNs.Observe(nonNeg(sp.AckNs - sp.OfferEndNs))
+	if sp.TraceID != 0 {
+		if e2e := sp.E2ENs(); e2e > 0 {
+			s.met.e2eNs.Observe(uint64(e2e))
+		}
+		w.spans.commit(*sp)
 	}
-	w.spans.commit(*sp)
 	s.spanPool.Put(sp)
 }
+
+// nonNeg clamps a stage interval read off the wall clock (which may
+// step backwards) to a histogram observation.
+func nonNeg(ns int64) uint64 { return uint64(max(ns, 0)) }
 
 // spanDiscard abandons a record whose batch never reached the wire (a
 // failed session's output is discarded, not acked).

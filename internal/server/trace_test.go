@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ipdsclient"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // sendTraced drives one session with every batch stamped and returns
@@ -158,5 +159,81 @@ func TestSpanE2EFallback(t *testing.T) {
 	none := server.SpanRec{ReadNs: 400, AckNs: 600}
 	if got := none.E2ENs(); got != 200 {
 		t.Fatalf("originless e2e = %d, want 200", got)
+	}
+}
+
+// sendRepeated drives one session with exactly batches full batches
+// of the captured trace, repeated as needed, stamping every sample-th
+// flush.
+func sendRepeated(t *testing.T, w *testWorld, batch, sample, batches int) {
+	t.Helper()
+	one := ipdsclient.Capture(w.art, nil)
+	var trace []wire.Event
+	for len(trace) < batches*batch {
+		trace = append(trace, one...)
+	}
+	trace = trace[:batches*batch]
+	c, err := ipdsclient.Dial(ipdsclient.Config{
+		Addr: w.addr, Image: w.hash, Program: "repeated",
+		Batch: batch, TraceSample: sample,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if err := c.Send(trace...); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestSpanSamplingContract pins the daemon's own 1-in-64 sampler, which
+// rides the same span records as client tracing: unstamped traffic
+// fills both wait histograms with one observation per 64 batches of a
+// session (the first included) and commits nothing to the trace ring;
+// a client stamping every batch makes every batch an observation; and
+// TraceRing < 0 disables only the ring, never the wait histograms.
+// The session is 5·64+1 batches long, so a sampler that skipped the
+// first batch would come up one observation short.
+func TestSpanSamplingContract(t *testing.T) {
+	const batch, n = 2, 5*64 + 1
+	cases := []struct {
+		name      string
+		ring      int
+		sample    int
+		everyOne  bool // one observation per batch, not per 64
+		wantSpans bool
+	}{
+		{name: "unstamped", ring: 1024, sample: 0},
+		{name: "stamped", ring: 1024, sample: 1, everyOne: true, wantSpans: true},
+		{name: "ring-disabled", ring: -1, sample: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := startWorld(t, server.Config{TraceRing: tc.ring})
+			sendRepeated(t, w, batch, tc.sample, n)
+			w.shut(t) // records finish on the core writers; drain flushes them
+			if got := w.reg.Counter("server_batches_total").Value(); got != uint64(n) {
+				t.Fatalf("server_batches_total = %d, want %d", got, n)
+			}
+			want := uint64((n + 63) / 64)
+			if tc.everyOne {
+				want = uint64(n)
+			}
+			for _, h := range []string{"server_queue_wait_ns", "server_write_wait_ns"} {
+				if got := w.reg.Histogram(h).Count(); got != want {
+					t.Errorf("%s count = %d over %d batches, want %d", h, got, n, want)
+				}
+			}
+			spans := len(w.srv.TraceSpans())
+			if tc.wantSpans && spans != n {
+				t.Errorf("committed %d spans for %d stamped batches", spans, n)
+			}
+			if !tc.wantSpans && spans != 0 {
+				t.Errorf("committed %d spans; daemon-sampled records must not reach the ring", spans)
+			}
+		})
 	}
 }

@@ -503,10 +503,20 @@ func Unmarshal(data []byte) (*Image, error) {
 	return im, nil
 }
 
+// maxSizeLog2 bounds a decoded hash space: hashfn.Find never searches
+// past 2^30 slots, and Bake packs slot indices into 30 bits.
+const maxSizeLog2 = 30
+
 // readFunc decodes one function record starting at off, returning the
-// image and the offset just past the record.
+// image and the offset just past the record. Images arrive from disk
+// caches and registry peers, whose checks only tie bytes to their
+// hash, so every count is checked against the remaining input before
+// anything is allocated, and the BAT lists are validated (see
+// checkLists) before Bake or the runtime walks them.
 func readFunc(data []byte, off int) (*FuncImage, int, error) {
 	fail := func(what string) error { return fmt.Errorf("tables: truncated image at %s", what) }
+	// fits reports whether n records of size bytes remain in the input.
+	fits := func(n uint64, size int) bool { return n <= uint64(len(data)-off)/uint64(size) }
 	u32 := func() (uint32, bool) {
 		if off+4 > len(data) {
 			return 0, false
@@ -539,8 +549,11 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 	}
 	params := hashfn.Params{S1: data[off], S2: data[off+1], SizeLog2: data[off+2]}
 	off += 4
+	if params.SizeLog2 > maxSizeLog2 {
+		return nil, 0, fmt.Errorf("tables: %s: hash space 2^%d exceeds 2^%d slots", name, params.SizeLog2, maxSizeLog2)
+	}
 	nPCs, ok := u32()
-	if !ok {
+	if !ok || !fits(uint64(nPCs), 8) {
 		return nil, 0, fail("branch pc count")
 	}
 	pcs := make([]uint64, 0, nPCs)
@@ -552,10 +565,14 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 		pcs = append(pcs, pc)
 	}
 	nBCV, ok := u32()
-	if !ok {
+	if !ok || !fits(uint64(nBCV), 8) {
 		return nil, 0, fail("bcv len")
 	}
 	fi := &FuncImage{Name: name, Base: base, Hash: params, NumSlots: params.Slots()}
+	if int(nBCV) != (fi.NumSlots+63)/64 {
+		return nil, 0, fmt.Errorf("tables: %s: %d BCV words for %d slots", name, nBCV, fi.NumSlots)
+	}
+	fi.BCV = make([]uint64, 0, nBCV)
 	fi.setBranchPCs(pcs)
 	for j := uint32(0); j < nBCV; j++ {
 		w, ok := u64()
@@ -565,9 +582,10 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 		fi.BCV = append(fi.BCV, w)
 	}
 	nEnt, ok := u32()
-	if !ok {
+	if !ok || !fits(uint64(nEnt), 12) {
 		return nil, 0, fail("entry count")
 	}
+	fi.Entries = make([]BATEntry, 0, nEnt)
 	for j := uint32(0); j < nEnt; j++ {
 		tgt, ok1 := u32()
 		act, ok2 := u32()
@@ -579,6 +597,9 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 			Target: int(tgt), Act: core.Action(act), Next: int32(next),
 		})
 	}
+	if !fits(uint64(fi.NumSlots), 8) {
+		return nil, 0, fail("heads")
+	}
 	fi.BATHeads = make([][2]int32, fi.NumSlots)
 	for j := 0; j < fi.NumSlots; j++ {
 		h0, ok1 := u32()
@@ -588,6 +609,9 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 		}
 		fi.BATHeads[j] = [2]int32{int32(h0), int32(h1)}
 	}
+	if err := fi.checkLists(); err != nil {
+		return nil, 0, err
+	}
 	n := fi.NumSlots
 	fi.BSVBits = 2 * n
 	fi.BCVBits = n
@@ -595,4 +619,42 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 	slotBits := log2ceil(n)
 	fi.BATBits = 2*n*ptrBits + len(fi.Entries)*(slotBits+2+ptrBits)
 	return fi, off, nil
+}
+
+// checkLists validates a decoded function's BAT: every head and Next
+// link is -1 or an entry index, every Target is a slot, and every list
+// reachable from a head terminates. Each entry is walked at most once
+// over all heads (lists that share a verified tail stop there), so a
+// hostile image costs linear time, never a hang.
+func (fi *FuncImage) checkLists() error {
+	n := int32(len(fi.Entries))
+	for i, e := range fi.Entries {
+		if e.Next < -1 || e.Next >= n {
+			return fmt.Errorf("tables: %s: BAT entry %d links to %d of %d", fi.Name, i, e.Next, n)
+		}
+		if e.Target < 0 || e.Target >= fi.NumSlots {
+			return fmt.Errorf("tables: %s: BAT entry %d targets slot %d of %d", fi.Name, i, e.Target, fi.NumSlots)
+		}
+	}
+	// state: 0 unwalked, 1 on the walk in progress, 2 ends in -1.
+	state := make([]uint8, n)
+	for slot, heads := range fi.BATHeads {
+		for _, h := range heads {
+			if h < -1 || h >= n {
+				return fmt.Errorf("tables: %s: slot %d BAT head %d of %d", fi.Name, slot, h, n)
+			}
+			j := h
+			for j >= 0 && state[j] == 0 {
+				state[j] = 1
+				j = fi.Entries[j].Next
+			}
+			if j >= 0 && state[j] == 1 {
+				return fmt.Errorf("tables: %s: slot %d BAT list cycles at entry %d", fi.Name, slot, j)
+			}
+			for j = h; j >= 0 && state[j] == 1; j = fi.Entries[j].Next {
+				state[j] = 2
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # checkdocs.sh - CI gate: every exported declaration in the analysis,
-# table, runtime, pipeline and cache packages must carry a doc comment.
+# table, runtime, pipeline and cache packages must carry a doc comment,
+# and the server_* metric names in the Go code and the docs must agree.
 #
 # A line starting a top-level exported func/type whose preceding line is
 # not a comment is flagged. Test files are exempt (Go test names are
@@ -45,4 +46,23 @@ grep -q 'benchtable:begin' docs/PERFORMANCE.md || {
     exit 1
 }
 
+# Metric names: every server_* series the Go code registers must be
+# documented in DESIGN.md, and every server_* name the docs cite must
+# be registered, so a deleted or renamed series cannot linger in them.
+registered=$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec grep -ohE '"server_[a-z0-9_]+"' {} + | tr -d '"' | sort -u)
+if [ -z "$registered" ]; then
+    echo "checkdocs: found no registered server_* metric names" >&2
+    exit 1
+fi
+design=$(grep -ohE 'server_[a-z0-9_]+' DESIGN.md | sort -u)
+cited=$(grep -ohE 'server_[a-z0-9_]+' DESIGN.md README.md docs/*.md | sort -u)
+undocumented=$(printf '%s\n' "$registered" | grep -vxF -e "$design" || true)
+unregistered=$(printf '%s\n' "$cited" | grep -vxF -e "$registered" || true)
+if [ -n "$undocumented" ] || [ -n "$unregistered" ]; then
+    [ -z "$undocumented" ] || printf 'checkdocs: registered but not in DESIGN.md: %s\n' $undocumented >&2
+    [ -z "$unregistered" ] || printf 'checkdocs: documented but never registered: %s\n' $unregistered >&2
+    exit 1
+fi
+
 echo "checkdocs: all exports documented in: $PKGS"
+echo "checkdocs: $(printf '%s\n' "$registered" | wc -l | tr -d ' ') server_* metric names registered and documented"
