@@ -15,6 +15,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
@@ -44,6 +45,54 @@ func BenchmarkFigure7(b *testing.B) {
 	b.ReportMetric(100*last.AvgCFChange, "cfchange%")
 	b.ReportMetric(100*last.AvgDetected, "detected%")
 	b.ReportMetric(100*last.Conditional, "conditional%")
+}
+
+// BenchmarkCampaignRound times one Figure 7 campaign round on
+// precompiled images: every server attacked 30 times, the budget spread
+// over its benign sessions, as perfbench's attack-campaign workload
+// does. Run with -benchmem to see the per-round allocation, which the
+// VM arena pool keeps free of per-trial 1 MiB memories.
+func BenchmarkCampaignRound(b *testing.B) {
+	const attacks = 30
+	type server struct {
+		art      *pipeline.Artifacts
+		sessions [][]string
+		model    attack.Model
+	}
+	var servers []server
+	for _, w := range workload.All() {
+		s := server{art: pipeline.MustCompile(w.Source, ir.DefaultOptions), sessions: w.Sessions()}
+		if w.Vuln == "format string" {
+			s.model = attack.ArbitraryWrite
+		}
+		servers = append(servers, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	trials := 0
+	for i := 0; i < b.N; i++ {
+		for wi, s := range servers {
+			per, extra := attacks/len(s.sessions), attacks%len(s.sessions)
+			for si, input := range s.sessions {
+				n := per
+				if si < extra {
+					n++
+				}
+				if n == 0 {
+					continue
+				}
+				c := &attack.Campaign{
+					Artifacts: s.art,
+					Input:     input,
+					Model:     s.model,
+					Attacks:   n,
+					Seed:      int64(i) + int64(wi)*7919 + int64(si)*104729,
+				}
+				trials += len(c.Run().Trials)
+			}
+		}
+	}
+	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // BenchmarkFigure8 regenerates the table-size measurement.

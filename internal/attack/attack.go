@@ -168,7 +168,9 @@ func isInputCall(in *ir.Instr) bool {
 
 // Run executes the campaign: one clean golden run, then Attacks
 // independent tampered runs, each compared against the golden control
-// flow.
+// flow. Every run shares one VM and one detector, rewound between runs
+// (vm.VM.Reset, ipds.Machine.Reset) to exactly the state a fresh pair
+// would have; the VM's memory returns to the arena pool at the end.
 func (c *Campaign) Run() *Result {
 	cfg := c.VMConfig
 	if cfg.MemSize == 0 {
@@ -184,26 +186,28 @@ func (c *Campaign) Run() *Result {
 	// the machine's event stream rather than polling the alarm ring: any
 	// alarm on an untampered run violates the scheme's core guarantee,
 	// so make it loud the instant it fires.
-	gv := vm.New(c.Artifacts.Prog, cfg, c.Input)
-	gm := ipds.New(c.Artifacts.Image, ic)
-	gm.SetEventSink(ipds.FuncSink(func(e ipds.Event) {
+	v := vm.New(c.Artifacts.Prog, cfg, c.Input)
+	defer v.Release()
+	m := ipds.New(c.Artifacts.Image, ic)
+	m.SetEventSink(ipds.FuncSink(func(e ipds.Event) {
 		if e.Kind == ipds.EvAlarm {
 			panic("attack: false positive on untampered golden run: " + e.Alarm.String())
 		}
 	}))
-	ipds.Attach(gv, gm)
+	ipds.Attach(v, m)
 	var g golden
-	gv.AddHooks(vm.Hooks{OnInstr: func(in *ir.Instr, addr uint64, size int) {
+	v.AddHooks(vm.Hooks{OnInstr: func(in *ir.Instr, addr uint64, size int) {
 		if isInputCall(in) {
 			g.inputs++
 		}
 	}})
-	g.res = gv.Run()
+	g.res = v.Run()
 
 	out := &Result{Program: c.Name, Model: c.Model}
 	rng := rand.New(rand.NewSource(c.Seed))
+	trng := rand.New(rand.NewSource(0)) // reseeded per trial
 	for i := 0; i < c.Attacks; i++ {
-		trial := c.runOne(rng.Int63(), cfg, ic, &g)
+		trial := c.runOne(v, m, trng, rng.Int63(), &g)
 		out.Trials = append(out.Trials, trial)
 		if trial.Outcome != NoEffect {
 			out.CFChanged++
@@ -215,15 +219,18 @@ func (c *Campaign) Run() *Result {
 	return out
 }
 
-func (c *Campaign) runOne(seed int64, cfg vm.Config, ic ipds.Config, g *golden) Trial {
-	rng := rand.New(rand.NewSource(seed))
+// runOne runs one tampered trial on v and m, rewinding both first.
+// rng is reseeded with seed, which leaves it in the state a fresh
+// rand.New(rand.NewSource(seed)) would have.
+func (c *Campaign) runOne(v *vm.VM, m *ipds.Machine, rng *rand.Rand, seed int64, g *golden) Trial {
+	rng.Seed(seed)
 	trial := Trial{Seed: seed}
 	if g.res.Steps < 4 {
 		return trial
 	}
 
-	v := vm.New(c.Artifacts.Prog, cfg, c.Input)
-	m := ipds.New(c.Artifacts.Image, ic)
+	v.Reset(c.Input)
+	m.Reset()
 	// Subscribe to the alarm event stream; the first alarm decides the
 	// trial, independent of how many later alarms the bounded ring keeps.
 	var firstAlarm *ipds.Alarm

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ir"
@@ -150,5 +151,33 @@ func TestModelAndOutcomeStrings(t *testing.T) {
 	if NoEffect.String() != "no-cf-change" || Detected.String() != "detected" ||
 		Missed.String() != "missed" || Outcome(9).String() != "?" {
 		t.Error("outcome strings")
+	}
+}
+
+// TestCampaignReusesArena bounds a campaign's allocation: trials rerun
+// one VM whose memory comes from the arena pool, so a 30-trial campaign
+// allocates far less than one 1 MiB VM memory per trial.
+func TestCampaignReusesArena(t *testing.T) {
+	w := workload.Telnetd()
+	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) {
+		c := &Campaign{Name: w.Name, Artifacts: art, Input: w.AttackSession, Model: ArbitraryWrite, Attacks: 30, Seed: seed}
+		if got := len(c.Run().Trials); got != 30 {
+			t.Fatalf("trials = %d", got)
+		}
+	}
+	run(1) // warm-up: puts an arena in the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(2)
+	runtime.ReadMemStats(&after)
+	const bound = 30 * 256 << 10
+	if d := after.TotalAlloc - before.TotalAlloc; d >= bound {
+		t.Fatalf("30-trial campaign allocated %d bytes, want < %d", d, bound)
+	} else {
+		t.Logf("30-trial campaign allocated %d bytes", d)
 	}
 }

@@ -131,11 +131,14 @@ func (v *VM) callBuiltin(name string, args []int64) (int64, error) {
 		if n < 0 {
 			n = 0
 		}
-		if addr < nullBoundary || addr+uint64(n) > uint64(len(v.mem)) {
+		if addr < nullBoundary || !v.inBounds(addr, uint64(n)) {
 			return 0, fmt.Errorf("%w in memset", ErrOOB)
 		}
 		if v.readOnly(addr, int(n)) {
 			return 0, fmt.Errorf("%w in memset", ErrReadOnly)
+		}
+		if n > 0 {
+			v.ar.mark(addr, uint64(n))
 		}
 		b := byte(args[1])
 		for i := int64(0); i < n; i++ {
@@ -213,12 +216,13 @@ func (v *VM) callBuiltin(name string, args []int64) (int64, error) {
 // no length limit beyond the end of memory itself (and the hardware's
 // read-only segments).
 func (v *VM) copyOut(addr uint64, s string) error {
-	if addr < nullBoundary || addr+uint64(len(s))+1 > uint64(len(v.mem)) {
+	if addr < nullBoundary || !v.inBounds(addr, uint64(len(s))+1) {
 		return fmt.Errorf("%w in string copy to %#x", ErrOOB, addr)
 	}
 	if v.readOnly(addr, len(s)+1) {
 		return fmt.Errorf("%w in string copy to %#x", ErrReadOnly, addr)
 	}
+	v.ar.mark(addr, uint64(len(s))+1)
 	copy(v.mem[addr:], s)
 	v.mem[addr+uint64(len(s))] = 0
 	return nil

@@ -112,14 +112,15 @@ type frame struct {
 }
 
 // VM is an interpreter instance. A VM is single-run: create a new one
-// (or call Reset) per execution.
+// or call Reset per execution, and Release it when done.
 type VM struct {
 	prog   *ir.Program
 	layout *Layout
 	cfg    Config
 	Hooks  Hooks
 
-	mem    []byte
+	ar     *arena
+	mem    []byte // ar.mem
 	sp     uint64
 	frames []frame
 
@@ -149,11 +150,13 @@ func New(prog *ir.Program, cfg Config, input []string) *VM {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig.MaxSteps
 	}
+	ar := arenaPool(cfg.MemSize).Get().(*arena)
 	v := &VM{
 		prog:   prog,
 		layout: NewLayout(prog, cfg.GlobalBase, cfg.StackBase),
 		cfg:    cfg,
-		mem:    make([]byte, cfg.MemSize),
+		ar:     ar,
+		mem:    ar.mem,
 		sp:     cfg.StackBase,
 		input:  input,
 	}
@@ -197,7 +200,10 @@ func (v *VM) initStatics() {
 				v.writeRaw(addr, o.Init, o.Type.Size())
 			}
 		case ir.ObjString:
-			copy(v.mem[v.layout.staticAddr[o.ID]:], o.Data)
+			addr := v.layout.staticAddr[o.ID]
+			if n := copy(v.mem[addr:], o.Data); n > 0 {
+				v.ar.mark(addr, uint64(n))
+			}
 		}
 	}
 }
@@ -275,11 +281,22 @@ func (v *VM) pushFrame(fn *ir.Func, args []int64, retDst ir.Reg) {
 	for i := uint64(0); i < size; i++ {
 		v.mem[base+i] = 0
 	}
+	// Recycle the register file parked in the popped slot at this depth.
+	var regs []int64
+	if n := len(v.frames); n < cap(v.frames) {
+		if r := v.frames[:n+1][n].regs; cap(r) >= fn.NumRegs {
+			regs = r[:fn.NumRegs]
+			clear(regs)
+		}
+	}
+	if regs == nil {
+		regs = make([]int64, fn.NumRegs)
+	}
 	v.frames = append(v.frames, frame{
 		fn:     fn,
 		blk:    fn.Entry,
 		idx:    0,
-		regs:   make([]int64, fn.NumRegs),
+		regs:   regs,
 		args:   args,
 		base:   base,
 		retDst: retDst,
@@ -352,12 +369,18 @@ func (v *VM) ActiveObjects(stackOnly bool) []ir.ObjID {
 	return out
 }
 
+// inBounds reports whether [addr, addr+n) lies inside memory. It never
+// computes addr+n, which wraps for a tampered negative pointer.
+func (v *VM) inBounds(addr, n uint64) bool {
+	return n <= uint64(len(v.mem)) && addr <= uint64(len(v.mem))-n
+}
+
 func (v *VM) checkAddr(addr uint64, size int) bool {
 	if addr < nullBoundary {
 		v.failf(ErrNull, "address %#x", addr)
 		return false
 	}
-	if addr+uint64(size) > uint64(len(v.mem)) {
+	if !v.inBounds(addr, uint64(size)) {
 		v.failf(ErrOOB, "address %#x size %d", addr, size)
 		return false
 	}
@@ -366,9 +389,11 @@ func (v *VM) checkAddr(addr uint64, size int) bool {
 
 func (v *VM) writeRaw(addr uint64, val int64, size int) {
 	if size == 1 {
+		v.ar.mark(addr, 1)
 		v.mem[addr] = byte(val)
 		return
 	}
+	v.ar.mark(addr, 8)
 	binary.LittleEndian.PutUint64(v.mem[addr:], uint64(val))
 }
 
@@ -382,7 +407,7 @@ func (v *VM) readRaw(addr uint64, size int) int64 {
 // Poke writes a value directly into memory, bypassing program
 // semantics: the attack injector's memory-tampering primitive.
 func (v *VM) Poke(addr uint64, val int64, size int) error {
-	if addr+uint64(size) > uint64(len(v.mem)) {
+	if !v.inBounds(addr, uint64(size)) {
 		return ErrOOB
 	}
 	v.writeRaw(addr, val, size)
@@ -391,7 +416,7 @@ func (v *VM) Poke(addr uint64, val int64, size int) error {
 
 // Peek reads memory directly (diagnostics and attack setup).
 func (v *VM) Peek(addr uint64, size int) (int64, error) {
-	if addr+uint64(size) > uint64(len(v.mem)) {
+	if !v.inBounds(addr, uint64(size)) {
 		return 0, ErrOOB
 	}
 	return v.readRaw(addr, size), nil
